@@ -673,7 +673,10 @@ impl Db {
     /// for all background compactions to finish" setup step (§6.2 also
     /// compacts "all L0 SST files to L1 for sake of consistency").
     pub fn flush_and_settle(&self) -> Result<()> {
-        self.inner.rotate_active()?;
+        // Drain every MemTable first: a settle request raised while the
+        // flusher still holds immutable tables would start compacting a
+        // partial L0 and split one load into several L0→L1 compactions.
+        self.flush()?;
         let mut g = self.inner.gate_lock()?;
         g.settle_requests += 1;
         g.compact_epoch += 1;
@@ -1042,11 +1045,21 @@ impl DbInner {
                 } else {
                     self.stats.filter_negatives.inc();
                     sst.record_probe(false);
-                    self.stats.observed_tn.inc();
                     None
                 }
             }
             None => Some(false),
+        }
+    }
+
+    /// Record that `sst` was admitted by [`DbInner::filter_admits`] but
+    /// holds no key in the probed range: a false positive that cost real
+    /// I/O. Only a real filter's miss is per-file adaptive evidence.
+    pub(crate) fn record_false_positive(&self, sst: &SstReader, real_filter: bool) {
+        self.stats.filter_false_positives.inc();
+        if real_filter {
+            sst.record_probe(true);
+            self.stats.observed_fp.inc();
         }
     }
 
@@ -1199,11 +1212,7 @@ impl DbInner {
             }
         }
         // The filter admitted a key the file does not hold.
-        self.stats.filter_false_positives.inc();
-        if real_filter {
-            sst.record_probe(true);
-            self.stats.observed_fp.inc();
-        }
+        self.record_false_positive(sst, real_filter);
         Ok(None)
     }
 

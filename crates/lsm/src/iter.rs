@@ -296,13 +296,7 @@ impl<'a> RangeIter<'a> {
                 db.stats.filter_true_positives.inc();
                 self.heap.push(HeapItem { rank, pos });
             }
-            None => {
-                db.stats.filter_false_positives.inc();
-                if real_filter {
-                    scan.sst.record_probe(true);
-                    db.stats.observed_fp.inc();
-                }
-            }
+            None => db.record_false_positive(&scan.sst, real_filter),
         }
         Ok(())
     }

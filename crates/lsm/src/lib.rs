@@ -511,26 +511,6 @@ mod db_tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn legacy_struct_literal_config_still_opens() {
-        // Pre-v2 callers construct DbConfig by struct literal; the fields
-        // are deprecated but must keep working (validated at open).
-        let dir = tmpdir("legacy-cfg");
-        let cfg = DbConfig { bits_per_key: 9.0, ..Default::default() };
-        let db = Db::open(&dir, cfg, Arc::new(NoFilterFactory)).unwrap();
-        db.put_u64(5, b"v").unwrap();
-        assert!(db.seek_u64(0, 10).unwrap());
-        drop(db);
-        // ... while a nonsense literal is now caught at open.
-        let broken = DbConfig { level_size_ratio: 0, ..Default::default() };
-        assert!(matches!(
-            Db::open(tmpdir("legacy-bad"), broken, Arc::new(NoFilterFactory)),
-            Err(crate::Error::Config(_))
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn tombstones_shadow_until_bottom_then_drop() {
         let dir = tmpdir("tombstone-drop");
         let cfg = small_cfg()

@@ -35,7 +35,7 @@ pub enum CodecError {
     },
     /// A structural invariant failed (lengths disagree, bits out of range).
     Invalid(&'static str),
-    /// The filter type does not support serialization (e.g. ARF).
+    /// The filter type has no persistent form.
     Unsupported(&'static str),
 }
 
